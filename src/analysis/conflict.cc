@@ -118,9 +118,8 @@ intersectSummaries(std::vector<PageAccessSummary> harts)
     const unsigned n = unsigned(result.harts.size());
     for (unsigned i = 0; i < n; i++) {
         const PageAccessSummary &wi = result.harts[i];
-        // The StoreBuffer's own SMC abort: a hart storing to a page it
-        // also fetches from aborts its round even with no other hart
-        // involved.
+        // Self-modifying code: a hart storing to a page it also
+        // fetches from conflicts with itself, no other hart involved.
         addConflicts(result, i, i, wi.writePages, wi.fetchPages,
                      PageConflict::Kind::WriteFetch);
         for (unsigned j = 0; j < n; j++) {

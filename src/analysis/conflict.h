@@ -10,15 +10,17 @@
  * with unbounded address sets are reported separately instead of
  * poisoning every page).
  *
- * Cross-hart intersection of the sets predicts exactly what the
- * barrier scheduler (sim/machine.cc runBarrier) aborts speculative
- * rounds on: hart i's may-write set against hart j's may-read or
- * may-fetch set (i != j), plus a hart's own write/fetch overlap (the
- * StoreBuffer's self-modifying-code abort). A page in the predicted
- * set is not an error — the scheduler replays such rounds serially —
- * but it is the static explanation of why a workload does not scale,
- * and the dynamic soundness oracle in tests/test_parallel.cc holds
- * every observed StoreBuffer page set inside these may-sets.
+ * A conflict page is one through which a hart's execution can depend
+ * on the interleaving: hart i's may-write set against hart j's
+ * may-read or may-fetch set (i != j) — a store another hart may
+ * observe — plus a hart's own write/fetch overlap (self-modifying
+ * code, which forces the predecode cache to re-decode the page). A
+ * page in the predicted set is not an error, but it is the static
+ * explanation of why a workload's harts cannot run independently
+ * (shared state, hence contention on a real multiprocessor). The
+ * dynamic soundness oracle in tests/test_parallel.cc holds every page
+ * set a Serial run observes (sim::PageTouchLog) inside these
+ * may-sets.
  */
 
 #ifndef UEXC_ANALYSIS_CONFLICT_H
@@ -33,7 +35,7 @@ namespace uexc::analysis {
 
 /** Maps a guest virtual address to a page id. The default is the
  *  identity 4 KiB page number (va >> 12); callers comparing against
- *  physical observations (StoreBuffer page sets) pass their address-
+ *  physical observations (PageTouchLog page sets) pass their address-
  *  space translation here so the analysis emits physical pages. */
 using PageMapper = std::function<Word(Addr)>;
 
@@ -65,7 +67,8 @@ PageAccessSummary analyzePageAccesses(const sim::Program &prog,
 void mergeSummaries(PageAccessSummary &into,
                     const PageAccessSummary &from);
 
-/** One predicted barrier-round conflict. */
+/** One predicted conflict: a page @c writer may store to that
+ *  @c other may read or fetch. */
 struct PageConflict
 {
     enum class Kind : std::uint8_t

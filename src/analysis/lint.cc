@@ -341,8 +341,8 @@ checkSharedPages(const sim::Program &prog, const RegionSpec &spec,
             sim::decode(prog.words.empty() ? 0 : prog.words[0]),
             formatString(
                 "page 0x%x: %u hart%s may-write it while other harts "
-                "may %s it (%u hart pairing%s); barrier rounds "
-                "touching it abort and serialize",
+                "may %s it (%u hart pairing%s); harts sharing it "
+                "cannot run independently",
                 page, writers, writers == 1 ? "" : "s",
                 fetch_side ? "fetch or read" : "read", pairs,
                 pairs == 1 ? "" : "s"));

@@ -28,9 +28,9 @@
  *    phase that does not end in jr/rfe.
  *  - SharedPageConflict (multihart analysis): a page one hart's
  *    may-write set shares with another hart's may-read/may-fetch set
- *    (or the hart's own fetch set). The barrier scheduler aborts and
- *    serializes rounds touching such pages, so this is a Note — a
- *    static scalability explanation, not an error.
+ *    (or the hart's own fetch set). Harts touching such pages cannot
+ *    run independently, so this is a Note — a static scalability
+ *    explanation, not an error.
  *  - UnsyncSharedWrite (multihart analysis): a reachable store whose
  *    effective-address set is unbounded — the analysis cannot bound
  *    which shared pages it may hit, so no conflict prediction covers

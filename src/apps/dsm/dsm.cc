@@ -60,7 +60,6 @@ DsmCluster::DsmCluster(const Config &config)
         // One machine with a hart per node over one kernel. Each node
         // gets its own process (own ASID, own frames) on its own hart.
         mcfg.harts = config.nodes;
-        mcfg.scheduler = config.scheduler;
         sharedMachine_ = std::make_unique<sim::Machine>(mcfg);
         sharedKernel_ = std::make_unique<os::Kernel>(*sharedMachine_);
         sharedKernel_->boot();

@@ -95,10 +95,6 @@ class DsmCluster
          * own hart's per-context state over the shared kernel.
          */
         bool sharedMachine = false;
-        /** Host scheduler for the shared machine (sharedMachine mode
-         *  only; per-node machines are single-hart and always serial).
-         *  Barrier keeps the cluster bit-identical to Serial. */
-        sim::SchedulerMode scheduler = sim::SchedulerMode::Auto;
         /**
          * Unreliable-network mode: messages may be lost, duplicated,
          * or delayed, seeded-deterministically. Lost messages cost a

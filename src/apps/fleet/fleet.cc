@@ -139,7 +139,6 @@ Fleet::rigConfigFor(const Guest &guest) const
 {
     chaos::RigConfig rc;
     rc.fastInterpreter = guest.fastInterpreter;
-    rc.scheduler = config_.scheduler;
     rc.memBytes = config_.guestMemBytes;
     return rc;
 }
@@ -151,7 +150,6 @@ Fleet::referenceFor(bool fast_interpreter)
     if (!references_[i]) {
         chaos::RigConfig rc;
         rc.fastInterpreter = fast_interpreter;
-        rc.scheduler = config_.scheduler;
         rc.memBytes = config_.guestMemBytes;
         references_[i] = std::make_unique<chaos::Reference>(
             chaos::makeReference(rc));

@@ -64,9 +64,6 @@ struct FleetConfig
     /** Every Nth migration is launched into a fully partitioned
      *  link (loss=100) to exercise graceful degradation; 0 = never. */
     unsigned partitionEvery = 5;
-    /** Host scheduler for multi-hart guests (chaos rigs are
-     *  single-hart; kept for config parity with CI's barrier runs). */
-    sim::SchedulerMode scheduler = sim::SchedulerMode::Auto;
     /** Per-guest physical memory. Small, because dozens of machines
      *  are live at once — but it must clear os::kUserFrameBase
      *  (10 MB) with room for user frames above it. */

@@ -150,7 +150,6 @@ Rig::Rig(sim::FaultInjector *injector, const RigConfig &config)
     mcfg.cpu.tlbmpHw = config.hardwareExtensions;
     mcfg.cpu.fastInterpreter = config.fastInterpreter;
     mcfg.cpu.faultInjector = injector;
-    mcfg.scheduler = config.scheduler;
     machine_ = std::make_unique<sim::Machine>(mcfg);
     kernel_ = std::make_unique<os::Kernel>(*machine_);
     kernel_->boot();

@@ -59,10 +59,6 @@ struct RigConfig
     bool hardwareExtensions = true;
     bool fastInterpreter = false;
     InstCount handlerBudget = 50000;
-    /** Host scheduler policy for the rig's machine. Not serialized
-     *  into repro files: the Barrier scheduler is bit-identical to
-     *  Serial, so a repro captured under either replays under both. */
-    sim::SchedulerMode scheduler = sim::SchedulerMode::Auto;
     /** Physical memory size; 0 = the Machine default. The fleet
      *  harness shrinks this so dozens of guests fit in host RAM; it
      *  is part of the machine config echo, so it IS serialized into

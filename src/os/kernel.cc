@@ -550,9 +550,9 @@ Kernel::onHcall(Cpu &cpu, Word service)
     // The real lock first: when harts execute on host threads the
     // kernel's host-side structures (procs_, frames_, counters) need
     // genuine mutual exclusion, not just the analytic timestamp
-    // below. Serial and barrier runs acquire it uncontended, so cost
-    // and behaviour are unchanged; the counters are host measurement
-    // only (see StackLockRealStats).
+    // below. Serial runs acquire it uncontended, so cost and
+    // behaviour are unchanged; the counters are host measurement only
+    // (see StackLockRealStats).
     if (!stackMutex_.try_lock()) {
         stackMutex_.lock();
         stackLockReal_.contended++;

@@ -367,7 +367,7 @@ class Kernel
      * producing the simulated-cycle numbers; these count actual host
      * lock acquisitions and contended ones. Deliberately NOT
      * serialized in snapshots — they are a host measurement, and
-     * including them would make serial and parallel checkpoint images
+     * including them would make serial and relaxed checkpoint images
      * diverge. Note that under the relaxed scheduler the Machine's
      * hcall lock serializes callers upstream, so cross-thread
      * contention surfaces in Machine::hcallLockStats() rather than

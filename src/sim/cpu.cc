@@ -3,7 +3,6 @@
 #include "common/bits.h"
 #include "common/logging.h"
 #include "sim/faultinject.h"
-#include "sim/storebuf.h"
 
 namespace uexc::sim {
 
@@ -179,88 +178,64 @@ Cpu::translateQuiet(Addr vaddr, AccessType type) const
 // guest data access ----------------------------------------------------------
 //
 // Every guest-visible load, store, and fetch funnels through these so
-// the barrier scheduler's speculative rounds see their own buffered
-// stores and record touched pages. With no buffer attached (serial,
-// relaxed, and all single-hart execution) they compile down to the
-// direct PhysMemory access.
+// an attached PageTouchLog sees each touched physical page. With no
+// log attached (every run but the static analyzer's soundness oracle)
+// they compile down to the direct PhysMemory access behind one null
+// check.
 
 inline Word
 Cpu::loadWord(Addr paddr)
 {
-    if (sb_) {
-        sb_->noteLoad(paddr);
-        return sb_->readWord(mem_, paddr);
-    }
+    if (touches_)
+        touches_->noteRead(h_->id(), paddr);
     return mem_.readWord(paddr);
 }
 
 inline Half
 Cpu::loadHalf(Addr paddr)
 {
-    if (sb_) {
-        sb_->noteLoad(paddr);
-        return sb_->readHalf(mem_, paddr);
-    }
+    if (touches_)
+        touches_->noteRead(h_->id(), paddr);
     return mem_.readHalf(paddr);
 }
 
 inline Byte
 Cpu::loadByte(Addr paddr)
 {
-    if (sb_) {
-        sb_->noteLoad(paddr);
-        return sb_->readByte(mem_, paddr);
-    }
+    if (touches_)
+        touches_->noteRead(h_->id(), paddr);
     return mem_.readByte(paddr);
 }
 
 inline void
 Cpu::storeWord(Addr paddr, Word value)
 {
-    if (sb_) {
-        sb_->noteStore(paddr);
-        if (sb_->aborted())
-            h_->halted_ = true;  // state is discarded on rollback
-        sb_->writeWord(paddr, value);
-        return;
-    }
+    if (touches_)
+        touches_->noteWrite(h_->id(), paddr);
     mem_.writeWord(paddr, value);
 }
 
 inline void
 Cpu::storeHalf(Addr paddr, Half value)
 {
-    if (sb_) {
-        sb_->noteStore(paddr);
-        if (sb_->aborted())
-            h_->halted_ = true;
-        sb_->writeHalf(paddr, value);
-        return;
-    }
+    if (touches_)
+        touches_->noteWrite(h_->id(), paddr);
     mem_.writeHalf(paddr, value);
 }
 
 inline void
 Cpu::storeByte(Addr paddr, Byte value)
 {
-    if (sb_) {
-        sb_->noteStore(paddr);
-        if (sb_->aborted())
-            h_->halted_ = true;
-        sb_->writeByte(paddr, value);
-        return;
-    }
+    if (touches_)
+        touches_->noteWrite(h_->id(), paddr);
     mem_.writeByte(paddr, value);
 }
 
 inline void
 Cpu::noteFetchPage(Addr paddr)
 {
-    if (sb_) {
-        sb_->noteFetch(paddr);
-        if (sb_->aborted())
-            h_->halted_ = true;
-    }
+    if (touches_)
+        touches_->noteFetch(h_->id(), paddr);
 }
 
 // exceptions ----------------------------------------------------------------
@@ -633,8 +608,6 @@ Cpu::runFast(InstCount max_insts)
         // One note per block entry covers the whole inline run: the
         // block loop exits before the PC can leave the cached page.
         noteFetchPage(h_->fetchPaBase_);
-        if (h_->halted_)
-            continue;  // store-buffer abort: exit via the loop top
         InstCount limit = max_insts - result.instsExecuted;
         InstCount done = 0;
         // PC sequencing lives in host registers inside the block loop:
@@ -1301,17 +1274,6 @@ Cpu::execute(const DecodedInst &inst)
         }
         if (!hcallHandler_) {
             takeException(ExcCode::Ri, 0, false, false);
-            return;
-        }
-        if (sb_) {
-            // A host service has real side effects (kernel state,
-            // host I/O) that a rolled-back round cannot replay: abort
-            // before dispatching, so the serial fallback performs the
-            // call exactly once. hcall 0 above is hart-local (halt)
-            // and needs no abort; a missing handler raises Ri, which
-            // is ordinary replayable architectural state.
-            sb_->markAbort();
-            h_->halted_ = true;
             return;
         }
         hcallHandler_(*this, inst.target);

@@ -32,6 +32,8 @@
 #define UEXC_SIM_CPU_H
 
 #include <functional>
+#include <unordered_set>
+#include <vector>
 
 #include "common/types.h"
 #include "sim/hart.h"
@@ -39,7 +41,37 @@
 
 namespace uexc::sim {
 
-class StoreBuffer;
+/**
+ * Physical page numbers each hart read, wrote and fetched code from,
+ * recorded while a log is attached (Machine::setPageTouchLog). Test-
+ * only instrumentation of Serial runs: the static shared-page
+ * analyzer's soundness oracle (tests/test_parallel.cc) holds these
+ * observations inside its may-sets. Not snapshotted.
+ */
+struct PageTouchLog
+{
+    struct HartTouches
+    {
+        std::unordered_set<Addr> readPages;
+        std::unordered_set<Addr> writePages;
+        std::unordered_set<Addr> fetchPages;
+    };
+    /** Indexed by hart id; Machine::setPageTouchLog sizes it. */
+    std::vector<HartTouches> harts;
+
+    void noteRead(unsigned hart, Addr paddr)
+    {
+        harts[hart].readPages.insert(paddr >> PhysMemory::PageShift);
+    }
+    void noteWrite(unsigned hart, Addr paddr)
+    {
+        harts[hart].writePages.insert(paddr >> PhysMemory::PageShift);
+    }
+    void noteFetch(unsigned hart, Addr paddr)
+    {
+        harts[hart].fetchPages.insert(paddr >> PhysMemory::PageShift);
+    }
+};
 
 /** Memory access intent, for translation. */
 enum class AccessType { Fetch, Load, Store };
@@ -178,17 +210,11 @@ class Cpu
     void setObserver(InstObserver *obs) { observer_ = obs; }
     InstObserver *observer() const { return observer_; }
 
-    /**
-     * Attach (or detach, with null) a store buffer: all guest data
-     * accesses and fetches then go through it, stores land in the
-     * buffer instead of memory, and the touched-page sets are
-     * recorded. Only the Machine's barrier scheduler uses this,
-     * around one speculative quantum; the buffer must be committed
-     * or discarded (with Hart::restoreRound) before serial execution
-     * resumes.
-     */
-    void setStoreBuffer(StoreBuffer *sb) { sb_ = sb; }
-    StoreBuffer *storeBuffer() const { return sb_; }
+    /** Attach (or detach, with null) a page-touch recorder: every
+     *  guest load, store and fetch then notes its physical page in
+     *  the bound hart's entry. Use Machine::setPageTouchLog, which
+     *  sizes the log. */
+    void setPageTouchLog(PageTouchLog *log) { touches_ = log; }
 
     // -- services for the OS / VM facade ------------------------------------
 
@@ -272,8 +298,8 @@ class Cpu
     CpuConfig config_;
     HcallHandler hcallHandler_;
     InstObserver *observer_ = nullptr;
-    /** Speculative-round store buffer; null outside parallel rounds. */
-    StoreBuffer *sb_ = nullptr;
+    /** Page-touch recorder; null unless a test attached one. */
+    PageTouchLog *touches_ = nullptr;
 
     /**
      * The bound execution context. Set by Machine before any

@@ -184,59 +184,4 @@ Hart::snapshotLoad(SnapshotReader &r)
     flushHostCaches();
 }
 
-void
-Hart::saveRound(RoundContext &ctx) const
-{
-    ctx.regs = regs_;
-    ctx.pc = pc_;
-    ctx.npc = npc_;
-    ctx.hi = hi_;
-    ctx.lo = lo_;
-    ctx.prevWasControl = prevWasControl_;
-    ctx.consecutiveStores = consecutiveStores_;
-    ctx.halted = halted_;
-    ctx.stats = stats_;
-    ctx.cp0 = cp0_;
-    ctx.tlb = tlb_;
-    if (icache_)
-        ctx.icache = *icache_;
-    else
-        ctx.icache.reset();
-    if (dcache_)
-        ctx.dcache = *dcache_;
-    else
-        ctx.dcache.reset();
-}
-
-void
-Hart::restoreRound(const RoundContext &ctx)
-{
-    regs_ = ctx.regs;
-    pc_ = ctx.pc;
-    npc_ = ctx.npc;
-    hi_ = ctx.hi;
-    lo_ = ctx.lo;
-    prevWasControl_ = ctx.prevWasControl;
-    consecutiveStores_ = ctx.consecutiveStores;
-    halted_ = ctx.halted;
-    // As with snapshotLoad: the intra-instruction latches are dead at
-    // the quantum boundaries where rounds begin and end.
-    excRaised_ = false;
-    stagedNpc_ = 0;
-    branchTaken_ = false;
-    redirect_ = false;
-    stats_ = ctx.stats;
-    cp0_ = ctx.cp0;
-    tlb_ = ctx.tlb;
-    if (ctx.icache)
-        *icache_ = *ctx.icache;
-    if (ctx.dcache)
-        *dcache_ = *ctx.dcache;
-    // The copied-back Tlb carries the generation it had at save time,
-    // which may equal a generation the aborted round also saw —
-    // flushing resets tlbGenSeen_ alongside, so nothing stale can
-    // revalidate.
-    flushHostCaches();
-}
-
 } // namespace uexc::sim

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -193,39 +192,6 @@ class Hart
      */
     void snapshotSave(SnapshotWriter &w) const;
     void snapshotLoad(SnapshotReader &r);
-
-    // -- parallel-round rollback ---------------------------------------
-
-    /**
-     * In-host copy of the full architectural context, cheap enough to
-     * take per hart per parallel round. The barrier scheduler saves
-     * one before speculatively running a round against store buffers;
-     * on a conflict it restores every hart and re-runs the round
-     * serially. Unlike the snapshot image this is host-side and
-     * value-typed — no serialization, no format versioning.
-     * Breakpoints are not included (they cannot change mid-round: the
-     * scheduler never runs a round while any hart has breakpoints).
-     */
-    struct RoundContext
-    {
-        std::array<Word, NumRegs> regs;
-        Addr pc;
-        Addr npc;
-        Word hi;
-        Word lo;
-        bool prevWasControl;
-        unsigned consecutiveStores;
-        bool halted;
-        CpuStats stats;
-        Cp0 cp0;
-        Tlb tlb;
-        std::optional<Cache> icache;
-        std::optional<Cache> dcache;
-    };
-
-    void saveRound(RoundContext &ctx) const;
-    /** Restore a saveRound() copy and drop the host-side caches. */
-    void restoreRound(const RoundContext &ctx);
 
   private:
     friend class Cpu;

@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "sim/faultinject.h"
-#include "sim/storebuf.h"
 
 namespace uexc::sim {
 
@@ -17,33 +16,34 @@ namespace {
 SchedulerMode
 resolveScheduler(SchedulerMode mode)
 {
+    // An explicit mode wins; the retired Barrier mode runs as Serial.
     if (mode != SchedulerMode::Auto)
-        return mode;
+        return mode == SchedulerMode::Relaxed ? mode
+                                              : SchedulerMode::Serial;
     // Read once, before any worker thread exists (Machine
     // construction), and nothing in this process calls setenv — the
     // data race mt-unsafe guards against cannot occur.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     const char *env = std::getenv("UEXC_PARALLEL");
-    if (!env)
+    if (!env || std::strcmp(env, "0") == 0 ||
+        std::strcmp(env, "serial") == 0)
         return SchedulerMode::Serial;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "barrier") == 0)
-        return SchedulerMode::Barrier;
     if (std::strcmp(env, "2") == 0 || std::strcmp(env, "relaxed") == 0)
         return SchedulerMode::Relaxed;
-    return SchedulerMode::Serial;
+    UEXC_FATAL("UEXC_PARALLEL=%s: accepted values are 0/serial and "
+               "2/relaxed", env);
 }
 
 } // namespace
 
 /**
- * Persistent worker pool: one host thread, one private execute
- * engine, and one store buffer per hart. Workers sleep between
- * dispatches; Machine::runBarrier / runRelaxed install one job per
- * live hart and block until all complete. The mutex hand-offs give
- * every dispatch release/acquire edges in both directions, so
- * whatever a worker wrote (hart state, its store buffer, RunResults)
- * is visible to the machine thread after run() returns — and
- * ThreadSanitizer sees a clean happens-before graph.
+ * Persistent worker pool: one host thread and one private execute
+ * engine per hart. Workers sleep between dispatches; Machine::
+ * runRelaxed installs one job per live hart and blocks until all
+ * complete. The mutex hand-offs give every dispatch release/acquire
+ * edges in both directions, so whatever a worker wrote (hart state,
+ * RunResults) is visible to the machine thread after run() returns —
+ * and ThreadSanitizer sees a clean happens-before graph.
  */
 struct Machine::ParallelPool
 {
@@ -51,9 +51,8 @@ struct Machine::ParallelPool
         : slots_(n)
     {
         CpuConfig worker_cfg = config;
-        // A fault injector forces the serial scheduler (eligibility
-        // checks in runBarrier/runRelaxed), so worker engines never
-        // consult one.
+        // A fault injector forces the serial scheduler (fallback
+        // check in runRelaxed), so worker engines never consult one.
         worker_cfg.faultInjector = nullptr;
         for (Slot &s : slots_)
             s.engine = std::make_unique<Cpu>(mem, worker_cfg);
@@ -75,7 +74,6 @@ struct Machine::ParallelPool
 
     unsigned size() const { return unsigned(slots_.size()); }
     Cpu &engine(unsigned i) { return *slots_[i].engine; }
-    StoreBuffer &sb(unsigned i) { return slots_[i].sb; }
 
     /** Run jobs[i] (null entries skipped) on worker i; blocks until
      *  every non-null job has completed. */
@@ -103,7 +101,6 @@ struct Machine::ParallelPool
     struct Slot
     {
         std::unique_ptr<Cpu> engine;
-        StoreBuffer sb;
         std::function<void()> job;
     };
 
@@ -180,6 +177,15 @@ Machine::setCurrentHart(unsigned i)
 }
 
 void
+Machine::setPageTouchLog(PageTouchLog *log)
+{
+    if (log)
+        log->harts.resize(harts_.size());
+    pageTouchLog_ = log;
+    cpu_->setPageTouchLog(log);
+}
+
+void
 Machine::invalidateTlbs(Addr vaddr, unsigned asid)
 {
     if (relaxedActive_.load(std::memory_order_acquire)) {
@@ -233,12 +239,8 @@ Machine::drainShootdowns()
 MachineRunResult
 Machine::run(InstCount max_insts)
 {
-    if (harts_.size() > 1) {
-        if (scheduler_ == SchedulerMode::Barrier)
-            return runBarrier(max_insts);
-        if (scheduler_ == SchedulerMode::Relaxed)
-            return runRelaxed(max_insts);
-    }
+    if (harts_.size() > 1 && scheduler_ == SchedulerMode::Relaxed)
+        return runRelaxed(max_insts);
     return runSerialImpl(max_insts);
 }
 
@@ -299,193 +301,6 @@ Machine::runSerialImpl(InstCount max_insts)
     }
 }
 
-/**
- * Barrier-parallel scheduler. Structure of one iteration:
- *
- *   1. The serial loop head, verbatim: scan for the next runnable
- *      hart, stop on all-halted / budget exhausted.
- *   2. Decide round eligibility. Ineligible (or backing off after an
- *      abort): run ONE serial quantum exactly as runSerialImpl does,
- *      and loop.
- *   3. Eligible: snapshot every live hart (RoundContext), run every
- *      live hart's quantum concurrently against the frozen memory
- *      with per-hart store buffers, rendezvous, then check the
- *      touched-page sets in serial round order. Writes(i) overlapping
- *      Reads(j)/Fetches(j) for i earlier than j means hart j may have
- *      missed a store it would have observed serially — roll every
- *      hart back and re-run the round through the serial branch (the
- *      restored state makes the serial quanta *be* the replay). No
- *      overlap: commit the buffers in round order and advance the
- *      cursor exactly as the serial rotation would have.
- *
- * Bit-identity argument: an ineligible iteration IS a serial
- * iteration; a committed round produced, per hart, the same quantum
- * the serial scheduler would have run (unclipped budget guaranteed by
- * eligibility, stable live set because halting is self-only, no
- * cross-hart observation by the no-conflict check, own stores merged
- * on load), and commits stores in serial order; an aborted round
- * changed nothing. Induction over iterations does the rest.
- */
-MachineRunResult
-Machine::runBarrier(InstCount max_insts)
-{
-    MachineRunResult result;
-    const unsigned n = unsigned(harts_.size());
-    InstCount remaining = max_insts;
-
-    while (true) {
-        unsigned tried = 0;
-        while (harts_[currentHart_]->halted() && tried < n) {
-            currentHart_ = (currentHart_ + 1) % n;
-            ++tried;
-        }
-        if (harts_[currentHart_]->halted()) {
-            result.reason = StopReason::Halted;
-            result.hart = currentHart_;
-            return result;
-        }
-        if (remaining == 0) {
-            result.reason = StopReason::InstLimit;
-            result.hart = currentHart_;
-            return result;
-        }
-
-        // Live harts in serial rotation order from the cursor.
-        std::vector<unsigned> order;
-        order.reserve(n);
-        for (unsigned k = 0; k < n; k++) {
-            unsigned h = (currentHart_ + k) % n;
-            if (!harts_[h]->halted())
-                order.push_back(h);
-        }
-
-        // A round must reproduce the serial schedule exactly, so it
-        // requires: at least two live harts (else it IS serial), a
-        // budget that cannot clip any quantum, no abort backoff
-        // pending, and none of the serial-only facilities (observer
-        // callbacks, breakpoints, pending fault-injector events).
-        bool eligible = order.size() >= 2 && serialStreak_ == 0 &&
-                        remaining >=
-                            InstCount(order.size()) * config_.quantum &&
-                        cpu_->observer() == nullptr;
-        for (unsigned k = 0; eligible && k < order.size(); k++) {
-            if (harts_[order[k]]->hasBreakpoints())
-                eligible = false;
-            else if (config_.cpu.faultInjector &&
-                     config_.cpu.faultInjector->wants(order[k]))
-                eligible = false;
-        }
-
-        if (!eligible) {
-            if (serialStreak_ > 0)
-                --serialStreak_;
-            barrierStats_.serialQuanta++;
-            cpu_->bindHart(*harts_[currentHart_]);
-            InstCount quantum = std::min(config_.quantum, remaining);
-            RunResult r = cpu_->run(quantum);
-            result.instsExecuted += r.instsExecuted;
-            remaining -= r.instsExecuted;
-            if (r.reason == StopReason::Breakpoint) {
-                result.reason = StopReason::Breakpoint;
-                result.hart = currentHart_;
-                return result;
-            }
-            currentHart_ = (currentHart_ + 1) % n;
-            continue;
-        }
-
-        // -- speculative round ----------------------------------------
-        ensurePool();
-        barrierStats_.parallelRounds++;
-
-        std::vector<Hart::RoundContext> saved(order.size());
-        for (std::size_t k = 0; k < order.size(); k++)
-            harts_[order[k]]->saveRound(saved[k]);
-
-        std::vector<RunResult> rr(order.size());
-        std::vector<std::function<void()>> jobs(pool_->size());
-        for (std::size_t k = 0; k < order.size(); k++) {
-            unsigned h = order[k];
-            Cpu &eng = pool_->engine(unsigned(k));
-            StoreBuffer &sb = pool_->sb(unsigned(k));
-            sb.clear();
-            // Mirror the handler so a guest hcall aborts the round
-            // (handler present, real side effects) or raises Ri
-            // (absent) exactly as the serial engine would decide.
-            eng.setHcallHandler(cpu_->hcallHandler());
-            jobs[k] = [this, k, h, &eng, &sb, &rr] {
-                eng.bindHart(*harts_[h]);
-                eng.setStoreBuffer(&sb);
-                rr[k] = eng.run(config_.quantum);
-                eng.setStoreBuffer(nullptr);
-            };
-        }
-        pool_->run(std::move(jobs));
-
-        if (pageTouchLog_) {
-            PageTouchLog::Round round;
-            for (std::size_t k = 0; k < order.size(); k++) {
-                const StoreBuffer &sb = pool_->sb(unsigned(k));
-                PageTouchLog::HartTouches t;
-                t.hart = order[k];
-                t.readPages = sb.readPages();
-                t.writePages = sb.writePages();
-                t.fetchPages = sb.fetchPages();
-                t.selfAborted = sb.aborted();
-                round.harts.push_back(std::move(t));
-            }
-            pageTouchLog_->rounds.push_back(std::move(round));
-        }
-
-        bool abort = false;
-        for (std::size_t k = 0; !abort && k < order.size(); k++)
-            abort = pool_->sb(unsigned(k)).aborted();
-        for (std::size_t i = 0; !abort && i < order.size(); i++) {
-            const StoreBuffer &wi = pool_->sb(unsigned(i));
-            if (wi.writePages().empty())
-                continue;
-            for (std::size_t j = i + 1; !abort && j < order.size();
-                 j++) {
-                const StoreBuffer &rj = pool_->sb(unsigned(j));
-                abort =
-                    pagesIntersect(wi.writePages(), rj.readPages()) ||
-                    pagesIntersect(wi.writePages(), rj.fetchPages());
-            }
-        }
-
-        if (pageTouchLog_)
-            pageTouchLog_->rounds.back().aborted = abort;
-
-        if (abort) {
-            for (std::size_t k = 0; k < order.size(); k++)
-                harts_[order[k]]->restoreRound(saved[k]);
-            barrierStats_.abortedRounds++;
-            // Back off: run at least one full serial pass over the
-            // conflicting harts before speculating again, doubling on
-            // consecutive aborts (conflict phases tend to persist).
-            abortStreakLen_ =
-                abortStreakLen_ == 0
-                    ? unsigned(order.size())
-                    : std::min(64u, abortStreakLen_ * 2);
-            serialStreak_ = abortStreakLen_;
-            continue;
-        }
-
-        abortStreakLen_ = 0;
-        barrierStats_.committedRounds++;
-        for (std::size_t k = 0; k < order.size(); k++) {
-            pool_->sb(unsigned(k)).commit(*mem_);
-            result.instsExecuted += rr[k].instsExecuted;
-            remaining -= rr[k].instsExecuted;
-        }
-        // Leave the cursor and engine binding exactly where the
-        // serial loop would: bound to the round's last hart, cursor
-        // one past it.
-        cpu_->bindHart(*harts_[order.back()]);
-        currentHart_ = (order.back() + 1) % n;
-    }
-}
-
 void
 Machine::relaxedHcall(unsigned hart, Word service)
 {
@@ -527,8 +342,8 @@ Machine::runRelaxed(InstCount max_insts)
 
     // The deterministic-schedule facilities cannot run free: fall
     // back to the reference scheduler when they are present.
-    bool fallback =
-        cpu_->observer() != nullptr || config_.cpu.faultInjector;
+    bool fallback = cpu_->observer() != nullptr ||
+                    config_.cpu.faultInjector || pageTouchLog_;
     for (unsigned i = 0; !fallback && i < n; i++)
         fallback = harts_[i]->hasBreakpoints();
     if (fallback)

@@ -11,11 +11,9 @@
  * instructions (exceptions and stalls included in its own cycle
  * accounting) before the next hart is bound; halted harts are
  * skipped. The schedule depends only on (program, config, quantum) —
- * no clocks — so every multi-hart run is bit-reproducible. The
- * Barrier scheduler preserves this contract on real host threads
- * (speculative rounds that commit or roll back to the serial
- * schedule, see SchedulerMode); only the opt-in Relaxed scheduler
- * trades the contract away for wall-clock throughput.
+ * no clocks — so every multi-hart run is bit-reproducible. Only the
+ * opt-in Relaxed scheduler (see SchedulerMode) trades the contract
+ * away for wall-clock throughput on real host threads.
  */
 
 #ifndef UEXC_SIM_MACHINE_H
@@ -28,7 +26,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -45,39 +42,27 @@ namespace uexc::sim {
  *
  *  - Serial: the reference scheduler — one host thread, round-robin
  *    quanta, the exact contract in the file comment above.
- *  - Barrier: each hart's quantum runs on its own host thread against
- *    a frozen memory image with a per-hart store buffer; all harts
- *    rendezvous at a barrier, the round is checked for cross-hart
- *    page conflicts, and committed in serial round order — or rolled
- *    back and re-run serially. Observable behaviour (state, cycles,
- *    instret, delivery stats, checkpoint images) is bit-identical to
- *    Serial; tests/test_parallel.cc enforces this.
- *  - Relaxed: opt-in free-running harts with no barrier, an atomic
- *    shared instruction budget, serialized host calls, and epoch-
- *    counted deferred TLB shootdowns. Raw wall-clock throughput; NOT
- *    bit-identical to Serial (the interleaving is real). Falls back
- *    to Serial when an observer, breakpoints, or a fault injector
- *    need the deterministic schedule.
+ *  - Relaxed: opt-in free-running harts, one host thread each, with
+ *    no barrier, an atomic shared instruction budget, serialized host
+ *    calls, and epoch-counted deferred TLB shootdowns. Raw wall-clock
+ *    throughput; NOT bit-identical to Serial (the interleaving is
+ *    real). Falls back to Serial when an observer, breakpoints, a
+ *    fault injector or a PageTouchLog need the deterministic
+ *    schedule.
  *  - Auto: resolve from the UEXC_PARALLEL environment variable
- *    ("0"/"serial" → Serial, "1"/"barrier" → Barrier, "2"/"relaxed"
- *    → Relaxed, unset → Serial), so CI can force either scheduler
- *    into existing binaries without rebuilds.
+ *    ("0"/"serial" → Serial, "2"/"relaxed" → Relaxed, unset →
+ *    Serial), so CI can force the threaded scheduler into existing
+ *    binaries without rebuilds. Any other value is a FatalError that
+ *    names the accepted ones.
+ *  - Barrier: retired; Machine runs it as Serial, which is the
+ *    behaviour it promised bit-for-bit. The enumerator remains only
+ *    because an existing benchmark names it in a switch.
  *
  * The mode is host policy, not machine state: it is deliberately
- * excluded from the checkpoint config echo, so serial and barrier
- * machines produce byte-identical images and can restore each
- * other's.
+ * excluded from the checkpoint config echo, so an image taken under
+ * one scheduler restores into a machine configured for the other.
  */
 enum class SchedulerMode { Auto, Serial, Barrier, Relaxed };
-
-/** Barrier-scheduler outcome counters (host-side measurement). */
-struct BarrierSchedStats
-{
-    std::uint64_t parallelRounds = 0;   ///< speculative rounds started
-    std::uint64_t committedRounds = 0;  ///< ...that committed
-    std::uint64_t abortedRounds = 0;    ///< ...rolled back to serial
-    std::uint64_t serialQuanta = 0;     ///< quanta run on the caller
-};
 
 /** Relaxed-scheduler host-call lock contention (host-side). */
 struct HcallLockStats
@@ -103,33 +88,6 @@ struct MachineConfig
     InstCount quantum = 10000;
     /** Scheduler driving the harts; see SchedulerMode. */
     SchedulerMode scheduler = SchedulerMode::Auto;
-};
-
-/**
- * Observed page-touch sets of speculative barrier rounds, recorded
- * when a log is attached via Machine::setPageTouchLog. One Round per
- * speculative round (committed or aborted), one HartTouches per live
- * hart in serial rotation order, holding copies of that hart's
- * StoreBuffer page sets at the rendezvous. The static shared-page
- * analyzer's soundness oracle compares these against its may-sets.
- */
-struct PageTouchLog
-{
-    struct HartTouches
-    {
-        unsigned hart = 0;
-        std::unordered_set<Addr> readPages;
-        std::unordered_set<Addr> writePages;
-        std::unordered_set<Addr> fetchPages;
-        /** The hart aborted its own quantum (SMC or hcall). */
-        bool selfAborted = false;
-    };
-    struct Round
-    {
-        std::vector<HartTouches> harts;
-        bool aborted = false;
-    };
-    std::vector<Round> rounds;
 };
 
 /** Result of a Machine::run call. */
@@ -166,21 +124,18 @@ class Machine
     Hart &hart(unsigned i) { return *harts_[i]; }
     const Hart &hart(unsigned i) const { return *harts_[i]; }
 
-    /** The resolved scheduler mode (never Auto). */
+    /** The resolved scheduler mode: Serial or Relaxed. */
     SchedulerMode schedulerMode() const { return scheduler_; }
-    const BarrierSchedStats &barrierStats() const
-    {
-        return barrierStats_;
-    }
     const HcallLockStats &hcallLockStats() const
     {
         return hcallLockStats_;
     }
 
-    /** Attach (or detach with nullptr) a recorder for the page sets
-     *  of every speculative barrier round. Not snapshotted; host-side
-     *  instrumentation only. */
-    void setPageTouchLog(PageTouchLog *log) { pageTouchLog_ = log; }
+    /** Attach (or detach with nullptr) a recorder of the physical
+     *  pages each hart reads, writes and fetches (sized here to one
+     *  entry per hart). Runs with a log attached use the Serial
+     *  scheduler. Not snapshotted; host-side instrumentation only. */
+    void setPageTouchLog(PageTouchLog *log);
 
     /** The hart the engine is currently bound to. */
     unsigned currentHart() const { return currentHart_; }
@@ -283,7 +238,6 @@ class Machine
     struct ParallelPool;
 
     MachineRunResult runSerialImpl(InstCount max_insts);
-    MachineRunResult runBarrier(InstCount max_insts);
     MachineRunResult runRelaxed(InstCount max_insts);
     void ensurePool();
     void relaxedHcall(unsigned hart, Word service);
@@ -302,11 +256,6 @@ class Machine
 
     SchedulerMode scheduler_ = SchedulerMode::Serial;
     std::unique_ptr<ParallelPool> pool_;
-    /** Serial quanta left before the next speculative round (abort
-     *  backoff); doubled per consecutive abort, capped at 64. */
-    unsigned serialStreak_ = 0;
-    unsigned abortStreakLen_ = 0;
-    BarrierSchedStats barrierStats_;
     PageTouchLog *pageTouchLog_ = nullptr;
 
     std::mutex hcallMutex_;

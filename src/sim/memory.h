@@ -21,14 +21,12 @@ namespace uexc::sim {
  * aligned; violations are uexc bugs (the CPU checks alignment and
  * raises guest exceptions before calling in here).
  *
- * Concurrency: in the default (serial and barrier-parallel) modes the
- * memory is only ever written by one thread at a time — barrier-round
- * workers read a frozen image and buffer their stores (sim/storebuf.h)
- * — so the accessors use plain loads and stores. setConcurrent(true)
- * switches the word/half/byte accessors to relaxed host atomics and
- * the page-version bumps to atomic increments for the relaxed
- * free-running scheduler, where harts really do race on guest-shared
- * pages. Relaxed atomics compile to plain moves on x86, so the
+ * Concurrency: under the default Serial scheduler the memory is only
+ * ever touched by one thread at a time, so the accessors use plain
+ * loads and stores. setConcurrent(true) switches the word/half/byte
+ * accessors to relaxed host atomics and the page-version bumps to
+ * atomic increments for the Relaxed free-running scheduler, where
+ * harts really do race on guest-shared pages. Relaxed atomics compile to plain moves on x86, so the
  * discipline costs nothing but makes the races well-defined (and
  * visible to ThreadSanitizer as intentional).
  */

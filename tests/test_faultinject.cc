@@ -278,38 +278,6 @@ TEST(FaultInjectChaos, SeededCampaign)
     setLoggingEnabled(true);
 }
 
-/**
- * The campaign verdict is scheduler-independent: running the rig's
- * machine under the Barrier (host-thread) scheduler instead of the
- * Serial reference changes nothing a seed can observe — diagnosis,
- * failure op, and final words all match. (RigConfig::scheduler is
- * the knob chaos replays would use; this pins its equivalence.)
- */
-TEST(FaultInjectChaos, VerdictIsSchedulerIndependent)
-{
-    setLoggingEnabled(false);
-    chaos::RigConfig serial_cfg, barrier_cfg;
-    serial_cfg.scheduler = sim::SchedulerMode::Serial;
-    barrier_cfg.scheduler = sim::SchedulerMode::Barrier;
-    chaos::Reference ref = chaos::makeReference(serial_cfg);
-
-    for (std::uint64_t seed : {0x61ull, 0x62ull, 0x63ull, 0x64ull,
-                               0x9001ull, 0x9002ull}) {
-        chaos::CampaignOutcome a =
-            chaos::runCampaign(seed, ref.window, ref.words,
-                               serial_cfg);
-        chaos::CampaignOutcome b =
-            chaos::runCampaign(seed, ref.window, ref.words,
-                               barrier_cfg);
-        EXPECT_EQ(a.diagnosed, b.diagnosed) << seed;
-        EXPECT_EQ(a.hostFailure, b.hostFailure) << seed;
-        EXPECT_EQ(a.what, b.what) << seed;
-        EXPECT_EQ(a.failOp, b.failOp) << seed;
-        EXPECT_EQ(a.words, b.words) << seed;
-    }
-    setLoggingEnabled(true);
-}
-
 /** Same seed, same machine: the campaign replays bit-identically. */
 TEST(FaultInjectChaos, CampaignIsDeterministic)
 {

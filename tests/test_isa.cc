@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+
 #include "sim/encoding.h"
 #include "sim/isa.h"
 
@@ -20,6 +23,17 @@ struct EncodedCase
     Op op;
     unsigned rs, rt, rd;
 };
+
+/** Print a case by mnemonic and encoding. Without this gtest dumps the
+ *  struct's bytes, name pointer included, and that dump (which ends up
+ *  in the ctest test name) changes with every run's load address. */
+void
+PrintTo(const EncodedCase &c, std::ostream *os)
+{
+    char raw[11];
+    std::snprintf(raw, sizeof raw, "0x%08x", unsigned(c.raw));
+    *os << c.name << ' ' << raw;
+}
 
 class DecodeRoundTrip : public ::testing::TestWithParam<EncodedCase> {};
 
@@ -82,6 +96,15 @@ struct ImmCase
     Word imm;
     Word simm;
 };
+
+/** Print a case by name and encoding (see PrintTo for EncodedCase). */
+void
+PrintTo(const ImmCase &c, std::ostream *os)
+{
+    char raw[11];
+    std::snprintf(raw, sizeof raw, "0x%08x", unsigned(c.raw));
+    *os << c.name << ' ' << raw;
+}
 
 class ImmediateDecode : public ::testing::TestWithParam<ImmCase> {};
 

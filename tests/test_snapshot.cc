@@ -433,56 +433,6 @@ INSTANTIATE_TEST_SUITE_P(Shards, SnapshotFuzz,
                          ::testing::Range(0u, kSnapFuzzShards));
 
 // ---------------------------------------------------------------------------
-// Scheduler-independent checkpoints
-// ---------------------------------------------------------------------------
-
-/**
- * SchedulerMode is host policy, not machine state: a Barrier machine
- * paused mid-run must checkpoint byte-identically to the Serial
- * reference at the same point, and each image must restore into a
- * machine running the *other* scheduler and finish identically — the
- * images carry no trace of which scheduler produced them.
- */
-TEST(SnapshotMachine, BarrierMidRunCheckpointMatchesSerial)
-{
-    MachineConfig cfg;
-    cfg.memBytes = 1 << 18;
-    cfg.harts = 4;
-    cfg.quantum = 512;
-    cfg.cpu.fastInterpreter = true;
-    cfg.scheduler = SchedulerMode::Serial;
-    MachineConfig bar_cfg = cfg;
-    bar_cfg.scheduler = SchedulerMode::Barrier;
-
-    Machine serial(cfg), barrier(bar_cfg);
-    Program prog = fuzzutil::buildFuzzProgram(42);
-    for (Machine *m : {&serial, &barrier}) {
-        fuzzutil::installFuzzSkipHandlers(*m);
-        m->load(prog);
-        for (unsigned h = 0; h < cfg.harts; h++)
-            m->hart(h).setPc(testutil::kTestOrigin);
-    }
-
-    // Pause mid-run (the cut is inside a round-robin phase) and
-    // compare the images.
-    const InstCount cut = 4000;
-    serial.run(cut);
-    barrier.run(cut);
-    std::vector<Byte> mid_s = serial.checkpoint();
-    std::vector<Byte> mid_b = barrier.checkpoint();
-    EXPECT_EQ(mid_s, mid_b) << "mid-run images diverged";
-
-    // Cross-restore: the serial image into the barrier machine and
-    // vice versa; both must run on to the same final image.
-    serial.restore(mid_b);
-    barrier.restore(mid_s);
-    serial.run(fuzzutil::kFuzzInstLimit);
-    barrier.run(fuzzutil::kFuzzInstLimit);
-    EXPECT_EQ(serial.checkpoint(), barrier.checkpoint())
-        << "cross-restored machines diverged";
-}
-
-// ---------------------------------------------------------------------------
 // Restore-path invalidation
 // ---------------------------------------------------------------------------
 

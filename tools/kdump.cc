@@ -14,10 +14,9 @@
  *                              # conflict analysis
  *   $ ./tools/kdump --harts N  # the multihart study images for N harts
  *   $ ./tools/kdump --harts N --parallel
- *                              # boot the user-vectored study on the
- *                              # Barrier (host-thread) scheduler and
- *                              # print per-hart delivery counts plus
- *                              # the speculative-round ledger
+ *                              # run the user-vectored study on the
+ *                              # serial reference scheduler and print
+ *                              # per-hart delivery counts
  *   $ ./tools/kdump --snapshot # section table of a booted machine's
  *                              # checkpoint (raw vs zero-elided size)
  */
@@ -88,15 +87,12 @@ dumpMultihart(unsigned harts)
 }
 
 /**
- * Boot the user-vectored delivery study on a Barrier-scheduled
- * machine — every quantum on its own host thread — and print what
- * each hart delivered, plus the speculative-round ledger. A quick
- * eyeball check that real threads reproduce the serial schedule:
- * the per-hart counts must match a serial run of the same study
- * (tests/test_parallel.cc asserts this; here it is just visible).
+ * Run the user-vectored delivery study on the serial reference
+ * scheduler and print what each hart delivered: the per-hart view
+ * behind bench_multihart's aggregate scaling numbers.
  */
 int
-runParallelStudy(unsigned harts)
+runDeliveryStudy(unsigned harts)
 {
     if (harts < 1 || harts > rt::multihart::kMaxHarts) {
         std::fprintf(stderr, "kdump: --harts wants 1..%u\n",
@@ -111,7 +107,7 @@ runParallelStudy(unsigned harts)
     cfg.harts = harts;
     cfg.quantum = 500;
     cfg.cpu.userVectorHw = true;
-    cfg.scheduler = SchedulerMode::Barrier;
+    cfg.scheduler = SchedulerMode::Serial;
     Machine m(cfg);
 
     m.load(rt::multihart::buildKernelImage(harts));
@@ -137,11 +133,9 @@ runParallelStudy(unsigned harts)
     MachineRunResult r =
         m.run(static_cast<InstCount>(harts) * insts_per_hart);
 
-    std::printf("user-vectored study, %u hart%s on the %s scheduler: "
-                "%llu instructions\n\n",
+    std::printf("user-vectored study, %u hart%s on the serial "
+                "scheduler: %llu instructions\n\n",
                 harts, harts == 1 ? "" : "s",
-                m.schedulerMode() == SchedulerMode::Barrier
-                    ? "barrier" : "serial",
                 static_cast<unsigned long long>(r.instsExecuted));
     std::printf("  %4s %12s %12s %12s\n", "hart", "instret",
                 "cycles", "uv-delivered");
@@ -153,13 +147,6 @@ runParallelStudy(unsigned harts)
                     static_cast<unsigned long long>(
                         h.stats().userVectoredExceptions));
     }
-    const BarrierSchedStats &bs = m.barrierStats();
-    std::printf("\n  rounds: %llu speculative (%llu committed, %llu "
-                "aborted), %llu serial quanta\n",
-                static_cast<unsigned long long>(bs.parallelRounds),
-                static_cast<unsigned long long>(bs.committedRounds),
-                static_cast<unsigned long long>(bs.abortedRounds),
-                static_cast<unsigned long long>(bs.serialQuanta));
     return 0;
 }
 
@@ -208,7 +195,7 @@ main(int argc, char **argv)
         }
         unsigned harts = unsigned(std::atoi(argv[2]));
         if (argc > 3 && std::strcmp(argv[3], "--parallel") == 0)
-            return runParallelStudy(harts);
+            return runDeliveryStudy(harts);
         return dumpMultihart(harts);
     }
 

@@ -3,8 +3,8 @@
  * uexc-fleet: the fleet soak harness CLI.
  *
  *   uexc-fleet [--hosts N] [--guests N] [--dsm N] [--migrations N]
- *              [--ops N] [--seed S] [--cooldown N] [--barrier]
- *              [--supervise] [--fail-every N] [--precopy N]
+ *              [--ops N] [--seed S] [--cooldown N] [--supervise]
+ *              [--fail-every N] [--precopy N]
  *              [--seconds N] [--decision-log FILE]
  *              [--repro-dir DIR] [--json]
  *
@@ -54,7 +54,7 @@ usage()
         stderr,
         "usage: uexc-fleet [--hosts N] [--guests N] [--dsm N]\n"
         "                  [--migrations N] [--ops N] [--seed S]\n"
-        "                  [--cooldown N] [--barrier] [--supervise]\n"
+        "                  [--cooldown N] [--supervise]\n"
         "                  [--fail-every N] [--precopy N]\n"
         "                  [--seconds N] [--decision-log FILE]\n"
         "                  [--repro-dir DIR] [--json]\n");
@@ -135,8 +135,6 @@ main(int argc, char **argv)
             if (!(v = value()) || !parseUnsigned(v, &seed32))
                 return usage();
             config.seed = seed32;
-        } else if (std::strcmp(arg, "--barrier") == 0) {
-            config.scheduler = sim::SchedulerMode::Barrier;
         } else if (std::strcmp(arg, "--supervise") == 0) {
             config.supervise = true;
         } else if (std::strcmp(arg, "--fail-every") == 0) {
